@@ -19,7 +19,9 @@ from .base import (
     SparseFormat,
     as_float_matrix,
     density_of,
+    fp16_finite,
     quantize_fp16,
+    quantize_fp16_reference,
     sparsity_of,
 )
 from .blocked_ell import BlockedEllMatrix
@@ -42,7 +44,9 @@ __all__ = [
     "SparseFormat",
     "as_float_matrix",
     "density_of",
+    "fp16_finite",
     "quantize_fp16",
+    "quantize_fp16_reference",
     "sparsity_of",
     "BlockedEllMatrix",
     "CSRMatrix",

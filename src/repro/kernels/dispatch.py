@@ -41,6 +41,7 @@ from .cusparse import CusparseBlockedEllConfig
 from .spatha import SpmmPlan, UnsupportedTilingError
 from .spatha import spmm as spatha_spmm
 from .spatha.tuner import SpathaTuner
+from ..formats.base import fp16_finite, quantize_fp16
 from ..formats.blocked_ell import BlockedEllMatrix
 from ..formats.csr import CSRMatrix
 from ..formats.vnm import VNMSparseMatrix
@@ -273,17 +274,6 @@ def _validate_rhs(operand: SpmmOperand, b: np.ndarray) -> np.ndarray:
     return b
 
 
-def _fp16_finite(b: np.ndarray) -> bool:
-    """True when ``b`` stays finite after the kernels' fp16 rounding.
-
-    The backends execute on fp16-rounded operands, so a large-but-finite
-    float32 value (>= 65520) still becomes inf inside the kernel — the
-    finiteness guard must look at the rounded values, as SpmmPlan does.
-    """
-    with np.errstate(over="ignore"):
-        return bool(np.isfinite(np.asarray(b, dtype=np.float16)).all())
-
-
 def _per_slab(fn, b: np.ndarray) -> np.ndarray:
     """Run a 2-D kernel per slab of a 3-D RHS (trivially slab-bit-exact)."""
     if b.ndim == 2:
@@ -416,9 +406,7 @@ class CublasDenseBackend(Backend):
         # fp16 rounding of the operand is just hoisted into the memoized
         # dense16 view — so the result stays bit-for-bit the direct call's.
         a16 = operand.dense16()
-        return _per_slab(
-            lambda slab: a16 @ np.asarray(slab, dtype=np.float16).astype(np.float32), b
-        )
+        return _per_slab(lambda slab: a16 @ quantize_fp16(slab), b)
 
 
 def default_backends() -> List[Backend]:
@@ -785,20 +773,22 @@ class KernelDispatcher:
             fallback = next(
                 fname for fname, _ in decision.ranking if fname != CublasDenseBackend.name
             )
+            # The backends execute on fp16-rounded operands, so a
+            # large-but-finite float32 value (>= 65520) still becomes inf
+            # inside the kernel: the guard looks at the rounded values.
+            finite = fp16_finite(b)
             if b.ndim == 2:
-                if not _fp16_finite(b):
+                if not finite:
                     return self.backend(fallback).execute(operand, b)
-            else:
-                finite = [_fp16_finite(b[i]) for i in range(b.shape[0])]
-                if not all(finite):
-                    dense_backend = self.backend(name)
-                    sparse_backend = self.backend(fallback)
-                    return np.stack(
-                        [
-                            (dense_backend if fin else sparse_backend).execute(operand, b[i])
-                            for i, fin in enumerate(finite)
-                        ]
-                    )
+            elif not finite.all():
+                dense_backend = self.backend(name)
+                sparse_backend = self.backend(fallback)
+                return np.stack(
+                    [
+                        (dense_backend if fin else sparse_backend).execute(operand, b[i])
+                        for i, fin in enumerate(finite)
+                    ]
+                )
         return self.backend(name).execute(operand, b)
 
     def _candidate_order(self, decision: DispatchDecision) -> List[str]:

@@ -33,7 +33,29 @@ CPU analogue of that preparation step:
   call would issue, so ``execute(stack)[i]`` is bit-identical to
   ``execute(stack[i])``.  The dynamic-batching serving layer
   (:mod:`repro.serving`) relies on this to make batched request execution
-  provably equivalent to sequential per-request execution.
+  provably equivalent to sequential per-request execution.  That includes
+  the non-finite demotion below: it is decided per slab.
+
+Numerics are the sparse tensor cores' contract — fp16 operands, fp32
+accumulation — emulated in float32:
+
+* **Exact fp16 staging.**  Every call rounds its RHS to fp16 and back with
+  :func:`~repro.formats.base.quantize_fp16`, a one-pass round-to-nearest-even
+  on the float32 bit pattern that is bit-for-bit the ``astype`` round trip
+  (:func:`~repro.formats.base.quantize_fp16_reference`, still used by the
+  reference kernels) and reports per-slab finiteness from the same pass.
+  A slab that is non-finite after rounding takes the gather schedule,
+  because the dense schedule would multiply the densified operand's zeros
+  by its inf (``0 * inf = NaN``) in rows no block selects.
+* **Layout is part of the numerics.**  The staged RHS keeps the caller's
+  memory layout (``order="K"``): the serving layers pass transposed
+  ``(B, K, seq)`` views, and BLAS picks its kernel, and with it the
+  summation order, from the operand's strides.  Every backend stages the
+  same way, so this plan, the dense cuBLAS fallback and the reference
+  kernels see identically laid-out operands and agree bit for bit; a
+  C-contiguous staged copy would flip low bits of one backend only.
+* Everything else is float32: the model side keeps the same rule (see
+  :mod:`repro.models.functional`).
 """
 
 from __future__ import annotations
@@ -43,6 +65,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .config import KernelConfig
+from ...formats.base import quantize_fp16
 from ...formats.vnm import VNMSparseMatrix
 
 #: Calibrated single-core throughputs used by the ``auto`` strategy chooser
@@ -171,29 +194,39 @@ class SpmmPlan:
             raise ValueError(
                 f"B must have shape ({a.k}, C) or (batch, {a.k}, C), got {b.shape}"
             )
-        b16 = np.asarray(b, dtype=np.float16).astype(np.float32)
         c = b.shape[-1]
         strategy = self._strategy_cache.get(c)
         if strategy is None:
             strategy = self.resolve_strategy(c)
             self._strategy_cache[c] = strategy
-        if strategy == "dense" and not np.isfinite(np.sum(b16, dtype=np.float64)):
+        if strategy != "dense":
+            out = self._execute_gather(quantize_fp16(b))
+        else:
             # The dense schedule multiplies the zero entries of the
             # densified operand against *every* B row, so a non-finite
             # value in a row no block selects would leak NaN (0 * inf)
             # into the output.  The gather schedule only ever touches the
             # selected rows — exactly like the loop reference — so it is
-            # the correct formulation for non-finite inputs.  The screen
-            # is a float64 sum: every finite fp16-representable value is
-            # <= 65504, so the sum can only be non-finite when an element
-            # is (NaN/Inf propagate), and it needs no bool temporary.
-            strategy = "gather"
-        if strategy == "dense":
-            # matmul broadcasts (R, K) @ (B, K, C) into one GEMM per slab,
-            # so each slab's result is bit-identical to its 2-D call.
-            out = np.matmul(self.dense16, b16)
-        else:
-            out = self._execute_gather(b16)
+            # the correct formulation for slabs that are non-finite after
+            # fp16 rounding; the staging reports that per slab for free.
+            b16, finite = quantize_fp16(b, return_finite=True)
+            if b16.ndim == 2:
+                out = np.matmul(self.dense16, b16) if finite else self._execute_gather(b16)
+            elif finite.all():
+                # matmul broadcasts (R, K) @ (B, K, C) into one GEMM per
+                # slab, so each slab's result is bit-identical to its 2-D
+                # call.
+                out = np.matmul(self.dense16, b16)
+            else:
+                # The demotion is per slab: a slab's schedule may depend
+                # only on its own values, or one non-finite request would
+                # change its batchmates' bits.
+                out = np.stack(
+                    [
+                        np.matmul(self.dense16, b16[i]) if fin else self._execute_gather(b16[i])
+                        for i, fin in enumerate(finite)
+                    ]
+                )
 
         if bias is not None:
             r = a.shape[0]

@@ -19,6 +19,24 @@ the right-padding structure and take the bit-exact grouped execution path —
 see :mod:`repro.models.attention` for why exact zeros alone are not enough
 for bitwise equality).
 
+Every operator here computes in **float32** for float32 input and returns
+float32.  NumPy 2 promotes an expression to float64 as soon as one operand
+is a float64 *array scalar* — ``np.sqrt(2.0 / np.pi)`` or ``1.0 /
+np.sqrt(d)`` — while Python floats stay "weak" and follow the array; such an
+upcast is silent because the next linear layer casts back to float32, but
+it multiplies the cost of the op.  Constants are therefore held as
+``np.float32`` and temporaries are updated in place.  The float64
+evaluation survives only as the accuracy reference (:func:`gelu_reference`),
+and ``tests/models/test_float32.py`` spies on every op inside the model
+forwards to keep the rule.  The projections between these ops keep the
+sparse tensor cores' fp16-operand, fp32-accumulate contract: the SpMM
+backends stage each activation RHS through fp16 with the exact one-pass
+:func:`~repro.formats.base.quantize_fp16` (bit-for-bit the ``astype``
+round trip), and the staged copy keeps the activation's memory layout
+(``order="K"``), because BLAS picks its summation order from the strides
+and every backend must see the same layout to agree bit for bit (see
+:mod:`repro.kernels.spatha.plan`).
+
 Decoder workloads add the second recognised mask family: :func:`causal_mask`
 builds the lower-triangular additive mask and :func:`mask_is_causal` detects
 it, routing the model layers onto the per-position causal path whose bits
@@ -63,9 +81,38 @@ def softmax(x: np.ndarray, axis: int = -1, mask: Optional[np.ndarray] = None) ->
     return out
 
 
+#: GELU's tanh-approximation constants as float32: under NumPy 2's
+#: promotion rules a float64 *array scalar* such as ``np.sqrt(2.0 / np.pi)``
+#: would lift the whole expression to float64.
+_GELU_SQRT_2_OVER_PI = np.float32(np.sqrt(2.0 / np.pi))
+_GELU_CUBIC = np.float32(0.044715)
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Gaussian Error Linear Unit (tanh approximation, as used by BERT/GPT)."""
+    """Gaussian Error Linear Unit (tanh approximation, as used by BERT/GPT).
+
+    Computed in float32 with one temporary updated in place; the cube is
+    ``x * x * x`` rather than ``x**3``, which takes NumPy's slow ``pow``.
+    Stays within 1e-6 of the float64 :func:`gelu_reference` (relative above
+    magnitude 1, absolute below it, where the negative tail's ``1 + tanh``
+    cancels in any precision).
+    """
     x = np.asarray(x, dtype=np.float32)
+    inner = x * x
+    inner *= x
+    inner *= _GELU_CUBIC
+    inner += x
+    inner *= _GELU_SQRT_2_OVER_PI
+    np.tanh(inner, out=inner)
+    inner += np.float32(1.0)
+    inner *= x
+    inner *= np.float32(0.5)
+    return inner
+
+
+def gelu_reference(x: np.ndarray) -> np.ndarray:
+    """The tanh-approximation GELU evaluated in float64 (the float32 ground truth)."""
+    x = np.asarray(x, dtype=np.float64)
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
 
 
@@ -104,8 +151,11 @@ def attention_scores(
     k = np.asarray(k, dtype=np.float32)
     if q.shape[-1] != k.shape[-1]:
         raise ValueError("q and k must share the head dimension")
-    scale = scale if scale is not None else 1.0 / np.sqrt(q.shape[-1])
-    scores = np.matmul(q, np.swapaxes(k, -1, -2)) * scale
+    # A float32 scale: ``1.0 / np.sqrt(d)`` is a float64 array scalar and
+    # would silently promote the scores to float64.
+    scale = np.float32(scale if scale is not None else 1.0 / np.sqrt(q.shape[-1]))
+    scores = np.matmul(q, np.swapaxes(k, -1, -2))
+    scores *= scale
     if mask is not None:
         scores = scores + np.asarray(mask, dtype=np.float32)
     return scores

@@ -419,6 +419,22 @@ class TestDispatchedExecution:
         for i in (0, 2):
             assert np.array_equal(out[i], dense_only.execute(op, batch[i]))
 
+    def test_nonfinite_demotion_is_per_slab_through_spatha_plan(self):
+        """The same per-slab rule when the dispatcher routes to spatha-plan,
+        whose plan demotes dense -> gather: a non-finite slab must leave its
+        batchmates' bits at their sequential values."""
+        rng = np.random.default_rng(7)
+        dense = rng.normal(size=(384, 384)).astype(np.float32)
+        vnm = VNMSparseMatrix.from_dense(dense, v=16, n=2, m=8, strict=False)
+        op = SpmmOperand.from_vnm(vnm)
+        dispatcher = KernelDispatcher()
+        assert dispatcher.dispatch(op, 33).backend == "spatha-plan"
+        batch = rng.normal(size=(3, 384, 33)).astype(np.float32)
+        batch[2, 10, 4] = np.inf
+        out = dispatcher.execute(op, batch)
+        for i in range(3):
+            assert np.array_equal(out[i], dispatcher.execute(op, batch[i]), equal_nan=True), i
+
     def test_dense_only_operand_keeps_dense_on_nonfinite(self):
         """With no sparse backend available the dense fallback still runs
         (NaN is then the honest dense-math answer, same as cublas.gemm)."""

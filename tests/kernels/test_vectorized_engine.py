@@ -105,6 +105,27 @@ class TestSpmmPlanEquivalence:
             out = SpmmPlan(a, strategy=strategy).execute(b)
             assert np.array_equal(out, ref), strategy
 
+    @pytest.mark.parametrize("strategy", ["auto", "dense"])
+    def test_nonfinite_demotion_is_per_slab(self, rng, strategy):
+        """Regression: one non-finite slab demotes only itself from the
+        dense to the gather schedule.  Its finite batchmates keep their
+        standalone dense bits, so a request's result never depends on the
+        other requests of its serving micro-batch."""
+        dense = rng.normal(size=(384, 384)).astype(np.float32)
+        a = VNMSparseMatrix.from_dense(dense, v=16, n=2, m=8, strict=False)
+        plan = SpmmPlan(a, strategy=strategy)
+        assert plan.resolve_strategy(33) == "dense"
+        batch = rng.normal(size=(3, 384, 33)).astype(np.float32)
+        batch[2, 10, 4] = np.inf
+        out = plan.execute(batch)
+        batched_spmm = spmm(a, batch)
+        for i in range(3):
+            assert np.array_equal(out[i], plan.execute(batch[i]), equal_nan=True), i
+            assert np.array_equal(batched_spmm[i], spmm(a, batch[i]), equal_nan=True), i
+        # The non-finite slab took the gather schedule, which matches the
+        # loop reference bit for bit.
+        assert np.array_equal(out[2], spmm_loop_reference(a, batch[2]), equal_nan=True)
+
 
 class TestSpmmPlanCaching:
     def test_plan_is_memoized_per_matrix(self, rng):
